@@ -29,11 +29,11 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use mgrts_core::engine::{CancelGroup, SolverSpec};
+use mgrts_core::engine::{CancelGroup, EnginePool, SolverSpec};
 use mgrts_obs::flight;
 use rt_gen::{derive_stream_seed, ProblemGenerator, RateMatrixGen};
 
-use crate::policy::{AdaptiveSpec, ExecutionPolicy, PolicyMode, PolicySpec};
+use crate::policy::{run_unit, AdaptiveSpec, ExecutionPolicy, PolicyMode, PolicySpec, UnitOrigin};
 use crate::runner::InstanceOutcome;
 use crate::shard::{plan_shards, Cell, CellM, PlanShape, Shard};
 use crate::sink::{
@@ -742,6 +742,8 @@ fn execute(
     // after run_fresh's clear ⇒ manifest fallback; populated on resume ⇒
     // quantile allowances engage).
     let policy = manifest.build_policy(store)?;
+    // Engines are built once per (spec, seed) and shared by every shard.
+    let pool = EnginePool::new();
     let shards = manifest.plan();
     let pending: Vec<&Shard> = shards.iter().filter(|s| !done.contains(&s.hash)).collect();
     let todo: &[&Shard] = match opts.max_shards {
@@ -759,7 +761,7 @@ fn execute(
         for w in 0..opts.threads.max(1) {
             let recorder = &recorder;
             let (next, sink, committed, failure) = (&next, &sink, &committed, &failure);
-            let (policy, shards, done) = (&policy, &shards, &done);
+            let (policy, pool, shards, done) = (&policy, &pool, &shards, &done);
             scope.spawn(move |_| {
                 let _ring = flight::install(recorder, &format!("campaign-worker-{w}"));
                 loop {
@@ -796,19 +798,12 @@ fn execute(
                     let mut strikes = 0u32;
                     let supervised = loop {
                         match catch_unwind(AssertUnwindSafe(|| {
-                            run_shard(manifest, &**policy, shard, cancel)
+                            run_shard(manifest, &**policy, pool, shard, cancel)
                         })) {
                             Ok(r) => break Ok(r),
                             Err(payload) => {
                                 strikes += 1;
-                                let reason = panic_reason(payload.as_ref());
-                                mgrts_obs::global()
-                                    .counter(
-                                        "mgrts_worker_panics_total",
-                                        "Shard executions that panicked and were caught by \
-                                         the worker supervisor",
-                                    )
-                                    .inc();
+                                let reason = caught_panic(payload.as_ref());
                                 flight::event("shard.panic", &shard.hash, &reason);
                                 if strikes >= crate::queue::PARK_AFTER {
                                     break Err(reason);
@@ -873,29 +868,46 @@ fn execute(
         return Err(e);
     }
 
-    let shards_committed = committed.into_inner();
-    let done_after = store.done_shards()?;
-    let records = store.load_records()?;
-    let summary = summarize(
-        manifest,
-        &records,
-        shards.len() as u64,
-        done_after.len() as u64,
-        started.elapsed().as_millis() as u64,
-    );
-    store.put_artifact(
-        &format!("BENCH_{}.json", manifest.name),
-        &serde_json::to_string_pretty(&summary).map_err(std::io::Error::other)?,
-    )?;
     Ok(CampaignOutcome {
-        summary,
-        shards_committed,
+        summary: publish_summary(manifest, store, shards.len(), started)?,
+        shards_committed: committed.into_inner(),
     })
 }
 
-/// Human-readable reason from a caught panic payload (`&str` / `String`
-/// payloads verbatim, anything else a placeholder).
-pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
+/// Name of the summary artifact of campaign `name`.
+fn summary_artifact(name: &str) -> String {
+    format!("BENCH_{name}.json")
+}
+
+/// Summarize the store's believable records and publish the summary as
+/// the `BENCH_<name>.json` artifact, `wall_ms` counted from `started`.
+pub(crate) fn publish_summary(
+    manifest: &Manifest,
+    store: &dyn RecordStore,
+    shards_total: usize,
+    started: Instant,
+) -> Result<Summary, CampaignError> {
+    let done = store.done_shards()?.len() as u64;
+    let records = store.load_records()?;
+    let wall_ms = started.elapsed().as_millis() as u64;
+    let summary = summarize(manifest, &records, shards_total as u64, done, wall_ms);
+    let json = serde_json::to_string_pretty(&summary).map_err(std::io::Error::other)?;
+    store.put_artifact(&summary_artifact(&manifest.name), &json)?;
+    Ok(summary)
+}
+
+/// The supervisor step shared by every caught panic (campaign executor,
+/// queue worker, serve jobs): count it in `mgrts_worker_panics_total` and
+/// return its human-readable reason (`&str` / `String` payloads verbatim,
+/// anything else a placeholder). Retry and park policies stay with the
+/// callers.
+pub(crate) fn caught_panic(payload: &(dyn std::any::Any + Send)) -> String {
+    mgrts_obs::global()
+        .counter(
+            "mgrts_worker_panics_total",
+            "Shard executions that panicked and were caught by the worker supervisor",
+        )
+        .inc();
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -913,6 +925,7 @@ pub(crate) fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
 pub(crate) fn run_shard(
     manifest: &Manifest,
     policy: &dyn ExecutionPolicy,
+    pool: &EnginePool,
     shard: &Shard,
     cancel: &CancelGroup,
 ) -> Result<Option<Vec<CampaignRecord>>, CampaignError> {
@@ -930,9 +943,6 @@ pub(crate) fn run_shard(
             return Ok(None);
         }
         let cell = &manifest.cells[unit.cell];
-        // For racing policies the plan pins unit.solver to 0, so this is
-        // the deterministic roster-head placeholder race records carry.
-        let solver = manifest.roster[unit.solver];
         let p = match &cached {
             Some((key, p)) if *key == (unit.cell, unit.instance) => p.clone(),
             _ => {
@@ -965,36 +975,28 @@ pub(crate) fn run_shard(
                 derive_stream_seed(p.seed, "platform"),
             )
         });
-        let exec = policy.execute(&p, platform.as_ref(), unit.solver, &budget, &token);
+        let plan = policy.plan(unit.solver);
+        let exec = run_unit(pool, plan, &p, platform.as_ref(), &budget, &token);
         if exec.outcome == InstanceOutcome::Cancelled {
             // Don't commit half-truths: a cancelled unit means the shard
             // must re-run on resume.
             sp.set_detail("cancelled");
             return Ok(None);
         }
-        records.push(CampaignRecord {
-            shard: shard.hash.clone(),
-            cell: unit.cell,
-            instance: unit.instance,
-            global_instance: unit.cell as u64 * manifest.instances_per_cell + unit.instance,
-            solver,
-            outcome: exec.outcome,
-            time_us: exec.time_us,
-            ratio: p.utilization_ratio(),
-            filtered: p.filtered_out(),
-            m: p.m,
-            n: cell.n,
-            t_max: cell.t_max,
-            hetero: cell.hetero,
-            hyperperiod: p.taskset.hyperperiod().unwrap_or(0),
-            seed: p.seed,
-            policy: Some(policy.kind()),
-            winner: exec.winner,
-            budget_source: Some(budget_source),
-            cancel_latency_us: exec.cancel_latency_us,
-            backends: exec.backends,
-            search: exec.search,
-        });
+        records.push(exec.into_record(
+            plan,
+            UnitOrigin {
+                shard: shard.hash.clone(),
+                cell: unit.cell,
+                instance: unit.instance,
+                global_instance: unit.cell as u64 * manifest.instances_per_cell + unit.instance,
+                n: cell.n,
+                t_max: cell.t_max,
+                hetero: cell.hetero,
+                budget_source,
+            },
+            &p,
+        ));
     }
     sp.set_detail(&format!("{} units", records.len()));
     Ok(Some(records))
@@ -1295,10 +1297,16 @@ pub fn report_store(store: &dyn RecordStore, kind: ReportKind) -> Result<String,
         ReportKind::Winners => report_winners(&manifest, &records),
         ReportKind::Profile => report_profile(&manifest, &records),
         ReportKind::Summary => {
-            let done = store.done_shards()?;
+            let done = store.done_shards()?.len() as u64;
             let shards = manifest.plan().len() as u64;
-            let summary = summarize(&manifest, &records, shards, done.len() as u64, 0);
-            render_summary(&summary)
+            // Wall time is not in the records: read it back from the
+            // summary the last run or worker published, if any.
+            let wall_ms = store
+                .get_artifact(&summary_artifact(&manifest.name))?
+                .and_then(|json| serde_json::from_str::<Summary>(&json).ok())
+                .map(|s| s.wall_ms);
+            let summary = summarize(&manifest, &records, shards, done, wall_ms.unwrap_or(0));
+            render_summary_wall(&summary, wall_ms)
         }
     })
 }
@@ -1621,14 +1629,20 @@ pub fn parity(race_dir: &Path, single_dir: &Path) -> Result<GateReport, Campaign
 /// Text rendering of a [`Summary`].
 #[must_use]
 pub fn render_summary(s: &Summary) -> String {
+    render_summary_wall(s, Some(s.wall_ms))
+}
+
+/// [`render_summary`] with the wall time given separately (`n/a` when
+/// unknown).
+fn render_summary_wall(s: &Summary, wall_ms: Option<u64>) -> String {
     let mut out = format!(
-        "campaign {} — {} records, shards {}/{}{}, wall {} ms\n",
+        "campaign {} — {} records, shards {}/{}{}, wall {}\n",
         s.campaign,
         s.records,
         s.shards_done,
         s.shards_total,
         if s.completed { " (complete)" } else { "" },
-        s.wall_ms,
+        wall_ms.map_or_else(|| "n/a".to_string(), |ms| format!("{ms} ms")),
     );
     out.push_str(&format!(
         "{:<14} {:>7} {:>7} {:>10} {:>8} {:>9} {:>11} {:>13}\n",

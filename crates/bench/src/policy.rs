@@ -9,12 +9,13 @@
 //! need different answers to the same two questions, so the seam is one
 //! trait:
 //!
-//! * [`SingleSolver`] — the historical path: one unit per
-//!   `(cell, instance, solver)`, each running `roster[solver]`;
-//! * [`PortfolioRace`] — one unit per `(cell, instance)`, racing the whole
-//!   roster via [`mgrts_core::portfolio`] with cooperative cancellation;
-//!   the record keeps the winner label, every loser's serializable stats
-//!   and the cancellation latency;
+//! * [`RosterPolicy`] in [`PolicyMode::Single`] — the historical path: one
+//!   unit per `(cell, instance, solver)`, each running `roster[solver]`;
+//! * [`RosterPolicy`] in [`PolicyMode::PortfolioRace`] — one unit per
+//!   `(cell, instance)`, racing the whole roster via
+//!   [`mgrts_core::portfolio`] with cooperative cancellation; the record
+//!   keeps the winner label, every loser's serializable stats and the
+//!   cancellation latency;
 //! * [`AdaptiveBudget`] — a wrapper around either of the above that caps
 //!   each unit's wall-clock allowance at a configurable quantile of the
 //!   solve times already recorded in the [`RecordStore`], falling back to
@@ -48,7 +49,7 @@ use rt_task::TaskSet;
 
 use crate::campaign::{CampaignError, Manifest};
 use crate::runner::{classify, run_one_engine_full, run_one_hetero_engine_full, InstanceOutcome};
-use crate::sink::RecordStore;
+use crate::sink::{CampaignRecord, RecordStore};
 
 // ---------------------------------------------------------------------------
 // Declarative policy configuration (the manifest `[policy]` section)
@@ -187,15 +188,6 @@ impl PolicySpec {
         out
     }
 
-    /// The [`PolicyKind`] recorded on every unit this policy executes.
-    #[must_use]
-    pub fn kind(&self) -> PolicyKind {
-        match self.mode {
-            PolicyMode::Single => PolicyKind::Single,
-            PolicyMode::PortfolioRace => PolicyKind::PortfolioRace,
-        }
-    }
-
     /// Units contributed per `(cell, instance)`: the roster length under
     /// `Single`, one racing unit under `PortfolioRace`.
     #[must_use]
@@ -214,18 +206,11 @@ impl PolicySpec {
         manifest: &Manifest,
         store: &dyn RecordStore,
     ) -> Result<Box<dyn ExecutionPolicy>, CampaignError> {
-        let base: Box<dyn ExecutionPolicy> = match self.mode {
-            PolicyMode::Single => Box::new(SingleSolver {
-                roster: manifest.roster.clone(),
-                time_limit: manifest.time_limit,
-                pool: EnginePool::new(),
-            }),
-            PolicyMode::PortfolioRace => Box::new(PortfolioRace {
-                roster: manifest.roster.clone(),
-                time_limit: manifest.time_limit,
-                pool: EnginePool::new(),
-            }),
-        };
+        let base: Box<dyn ExecutionPolicy> = Box::new(RosterPolicy {
+            mode: self.mode,
+            roster: manifest.roster.clone(),
+            time_limit: manifest.time_limit,
+        });
         match &self.adaptive {
             None => Ok(base),
             Some(spec) => {
@@ -297,11 +282,11 @@ pub fn budget_from_samples(mut samples: Vec<u64>, spec: &AdaptiveSpec) -> Option
 }
 
 // ---------------------------------------------------------------------------
-// The ExecutionPolicy trait
+// Unit execution and the ExecutionPolicy trait
 // ---------------------------------------------------------------------------
 
-/// What executing one campaign unit produced (the policy-specific slice of
-/// a [`crate::sink::CampaignRecord`]).
+/// What executing one unit measured (the execution slice of a
+/// [`CampaignRecord`]; `UnitExecution::into_record` completes it).
 #[derive(Debug, Clone)]
 pub struct UnitExecution {
     /// Classified outcome.
@@ -321,29 +306,143 @@ pub struct UnitExecution {
     pub search: Option<mgrts_obs::SearchStats>,
 }
 
-/// A pluggable cell executor: decides, per campaign unit, *what runs and
-/// with what budget*. One policy object serves a whole executor / worker
-/// process; implementations are immutable and shared across threads.
-pub trait ExecutionPolicy: Send + Sync {
-    /// The kind recorded on every unit.
-    fn kind(&self) -> PolicyKind;
+/// Where a unit's record comes from: the provenance its execution cannot
+/// know. Campaigns fill it from the shard and grid cell; the serve layer
+/// from the request (one single-unit shard per request key).
+#[derive(Debug, Clone)]
+pub(crate) struct UnitOrigin {
+    /// Content hash of the shard the record commits under.
+    pub(crate) shard: String,
+    /// Grid cell index.
+    pub(crate) cell: usize,
+    /// Instance index within the cell's stream.
+    pub(crate) instance: u64,
+    /// Campaign-wide instance number.
+    pub(crate) global_instance: u64,
+    /// Task count of the cell.
+    pub(crate) n: usize,
+    /// Maximum period of the cell.
+    pub(crate) t_max: u64,
+    /// Heterogeneous platform?
+    pub(crate) hetero: bool,
+    /// Where the unit's wall-clock allowance came from.
+    pub(crate) budget_source: BudgetSource,
+}
 
+impl UnitExecution {
+    /// The record of this execution of `plan` on `p` — the one place a
+    /// [`CampaignRecord`] is assembled, for campaign units and serve
+    /// requests alike.
+    #[must_use]
+    pub(crate) fn into_record(
+        self,
+        plan: UnitPlan<'_>,
+        origin: UnitOrigin,
+        p: &Problem,
+    ) -> CampaignRecord {
+        // Race records carry the roster head as their solver: the winner
+        // is a measurement, so the unit key must not depend on it.
+        let (solver, policy) = match plan {
+            UnitPlan::Single(spec) => (spec, PolicyKind::Single),
+            UnitPlan::Race(roster) => (roster[0], PolicyKind::PortfolioRace),
+        };
+        CampaignRecord {
+            shard: origin.shard,
+            cell: origin.cell,
+            instance: origin.instance,
+            global_instance: origin.global_instance,
+            solver,
+            outcome: self.outcome,
+            time_us: self.time_us,
+            ratio: p.utilization_ratio(),
+            filtered: p.filtered_out(),
+            m: p.m,
+            n: origin.n,
+            t_max: origin.t_max,
+            hetero: origin.hetero,
+            hyperperiod: p.taskset.hyperperiod().unwrap_or(0),
+            seed: p.seed,
+            policy: Some(policy),
+            winner: self.winner,
+            budget_source: Some(origin.budget_source),
+            cancel_latency_us: self.cancel_latency_us,
+            backends: self.backends,
+            search: self.search,
+        }
+    }
+}
+
+/// What one unit runs: a single backend, or a race over a roster.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum UnitPlan<'a> {
+    /// One backend.
+    Single(SolverSpec),
+    /// Every roster entry, raced with cooperative cancellation.
+    Race(&'a [SolverSpec]),
+}
+
+/// Execute one unit: fetch its engines from `pool` (built once per
+/// `(spec, seed)`, reused by every later unit and request), run them on
+/// `p` — over `platform` when heterogeneous — and classify the verdict.
+/// The one execution path of campaign units and serve requests alike.
+/// Produced schedules are verified against the independent C1–C4 checker;
+/// a verification failure is a solver bug and panics loudly.
+pub(crate) fn run_unit(
+    pool: &EnginePool,
+    plan: UnitPlan<'_>,
+    p: &Problem,
+    platform: Option<&Platform>,
+    budget: &Budget,
+    cancel: &CancelToken,
+) -> UnitExecution {
+    match plan {
+        UnitPlan::Single(spec) => {
+            let engine = pool.get(spec, p.seed);
+            let (outcome, time_us, search) = match platform {
+                Some(platform) => run_one_hetero_engine_full(p, platform, &*engine, budget, cancel),
+                None => run_one_engine_full(p, &*engine, budget, cancel),
+            };
+            UnitExecution {
+                outcome,
+                time_us,
+                winner: None,
+                cancel_latency_us: None,
+                backends: None,
+                search,
+            }
+        }
+        UnitPlan::Race(specs) => {
+            let platform = match platform {
+                Some(platform) => PlatformSpec::Heterogeneous(platform.clone()),
+                None => PlatformSpec::identical(p.m),
+            };
+            let roster = pool.roster(specs, p.seed);
+            let run = race_roster(&roster, &p.taskset, &platform, budget, cancel)
+                .expect("valid constrained instance");
+            UnitExecution {
+                outcome: classify(&run.verdict),
+                time_us: run.elapsed_us,
+                winner: run.winner,
+                cancel_latency_us: run.cancel_latency_us,
+                backends: Some(run.backends),
+                search: run.search,
+            }
+        }
+    }
+}
+
+/// A pluggable cell executor policy: decides, per campaign unit, *what
+/// runs and with what budget*; `run_unit` then executes it. One policy
+/// object serves a whole executor / worker process; implementations are
+/// immutable and shared across threads.
+pub trait ExecutionPolicy: Send + Sync {
     /// The wall-clock budget (and its provenance) for a unit of `cell`.
     /// The executor further caps it by the shard's remaining allowance.
     fn unit_budget(&self, cell: usize) -> (Budget, BudgetSource);
 
-    /// Execute one unit. `unit_solver` indexes the manifest roster (always
+    /// What a unit runs. `unit_solver` indexes the manifest roster (always
     /// 0 for racing policies, whose plan collapses the solver axis).
-    /// Produced schedules are verified against the independent C1–C4
-    /// checker; a verification failure is a solver bug and panics loudly.
-    fn execute(
-        &self,
-        p: &Problem,
-        platform: Option<&Platform>,
-        unit_solver: usize,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> UnitExecution;
+    fn plan(&self, unit_solver: usize) -> UnitPlan<'_>;
 
     /// Re-derive any store-dependent state (called by executors between
     /// shards, so long-running workers see records committed after they
@@ -355,104 +454,35 @@ pub trait ExecutionPolicy: Send + Sync {
     }
 }
 
-/// The historical inline path, extracted: one roster solver per unit.
-///
-/// Engines are served from a shared [`EnginePool`], so a long-lived
-/// policy object (one per executor/worker process, or a resident server)
-/// builds each `(spec, seed)` engine once instead of once per unit.
+/// The base policies over the manifest roster: one roster solver per unit
+/// ([`PolicyMode::Single`], the historical inline path), or the whole
+/// roster raced per `(cell, instance)` unit ([`PolicyMode::PortfolioRace`],
+/// the paper's Table I as a single racing campaign).
 #[derive(Debug, Clone)]
-pub struct SingleSolver {
-    /// Manifest roster (indexed by the unit's solver position).
-    pub roster: Vec<SolverSpec>,
-    /// Manifest per-run wall-clock limit.
-    pub time_limit: Duration,
-    /// Engine cache shared across units (and across policy clones).
-    pub pool: EnginePool,
-}
-
-impl ExecutionPolicy for SingleSolver {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::Single
-    }
-
-    fn unit_budget(&self, _cell: usize) -> (Budget, BudgetSource) {
-        (Budget::time_limit(self.time_limit), BudgetSource::Manifest)
-    }
-
-    fn execute(
-        &self,
-        p: &Problem,
-        platform: Option<&Platform>,
-        unit_solver: usize,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> UnitExecution {
-        let engine = self.pool.get(self.roster[unit_solver], p.seed);
-        let (outcome, time_us, search) = match platform {
-            Some(platform) => run_one_hetero_engine_full(p, platform, &*engine, budget, cancel),
-            None => run_one_engine_full(p, &*engine, budget, cancel),
-        };
-        UnitExecution {
-            outcome,
-            time_us,
-            winner: None,
-            cancel_latency_us: None,
-            backends: None,
-            search,
-        }
-    }
-}
-
-/// Race the whole roster per `(cell, instance)` unit — the paper's Table I
-/// as a single racing campaign.
-#[derive(Debug, Clone)]
-pub struct PortfolioRace {
-    /// Manifest roster; every entry races on each unit.
+pub struct RosterPolicy {
+    /// Single solver or race.
+    pub mode: PolicyMode,
+    /// Manifest roster (indexed by the unit's solver position; every
+    /// entry races under `PortfolioRace`).
     pub roster: Vec<SolverSpec>,
     /// Manifest per-run wall-clock limit (bounds the whole race).
     pub time_limit: Duration,
-    /// Engine cache shared across units (and across policy clones).
-    pub pool: EnginePool,
 }
 
-impl ExecutionPolicy for PortfolioRace {
-    fn kind(&self) -> PolicyKind {
-        PolicyKind::PortfolioRace
-    }
-
+impl ExecutionPolicy for RosterPolicy {
     fn unit_budget(&self, _cell: usize) -> (Budget, BudgetSource) {
         (Budget::time_limit(self.time_limit), BudgetSource::Manifest)
     }
 
-    fn execute(
-        &self,
-        p: &Problem,
-        platform: Option<&Platform>,
-        _unit_solver: usize,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> UnitExecution {
-        // Engines come from the shared pool — constructed once per
-        // (spec, seed), reused by every subsequent unit and request.
-        let roster = self.pool.roster(&self.roster, p.seed);
-        let spec = match platform {
-            Some(platform) => PlatformSpec::Heterogeneous(platform.clone()),
-            None => PlatformSpec::identical(p.m),
-        };
-        let run = race_roster(&roster, &p.taskset, &spec, budget, cancel)
-            .expect("valid constrained instance");
-        UnitExecution {
-            outcome: classify(&run.verdict),
-            time_us: run.elapsed_us,
-            winner: run.winner,
-            cancel_latency_us: run.cancel_latency_us,
-            backends: Some(run.backends),
-            search: run.search,
+    fn plan(&self, unit_solver: usize) -> UnitPlan<'_> {
+        match self.mode {
+            PolicyMode::Single => UnitPlan::Single(self.roster[unit_solver]),
+            PolicyMode::PortfolioRace => UnitPlan::Race(&self.roster),
         }
     }
 }
 
-/// Wrapper policy: delegate execution to `inner`, but cap each unit's
+/// Wrapper policy: delegate the plan to `inner`, but cap each unit's
 /// allowance at the cell's recorded-solve-time quantile. The snapshot is
 /// taken at build time and *re-taken on every [`ExecutionPolicy::refresh`]*
 /// (executors call it per claimed shard), so a long-running worker's
@@ -483,10 +513,6 @@ impl AdaptiveBudget {
 }
 
 impl ExecutionPolicy for AdaptiveBudget {
-    fn kind(&self) -> PolicyKind {
-        self.inner.kind()
-    }
-
     fn unit_budget(&self, cell: usize) -> (Budget, BudgetSource) {
         let (base, _) = self.inner.unit_budget(cell);
         match self.cell_allowance(cell) {
@@ -495,15 +521,8 @@ impl ExecutionPolicy for AdaptiveBudget {
         }
     }
 
-    fn execute(
-        &self,
-        p: &Problem,
-        platform: Option<&Platform>,
-        unit_solver: usize,
-        budget: &Budget,
-        cancel: &CancelToken,
-    ) -> UnitExecution {
-        self.inner.execute(p, platform, unit_solver, budget, cancel)
+    fn plan(&self, unit_solver: usize) -> UnitPlan<'_> {
+        self.inner.plan(unit_solver)
     }
 
     fn refresh(&self, store: &dyn RecordStore) -> Result<(), CampaignError> {
@@ -518,7 +537,7 @@ impl ExecutionPolicy for AdaptiveBudget {
 // ---------------------------------------------------------------------------
 
 /// One roster race, reduced to the serializable parts every consumer
-/// needs. The CLI `portfolio` subcommand and the [`PortfolioRace`] policy
+/// needs. The CLI `portfolio` subcommand and `run_unit`
 /// both reduce to [`race_roster`] — there is exactly one race loop in the
 /// repository ([`mgrts_core::portfolio::race_cancellable`]).
 #[derive(Debug, Clone)]

@@ -42,10 +42,10 @@ use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use mgrts_core::engine::CancelGroup;
+use mgrts_core::engine::{CancelGroup, EnginePool};
 use mgrts_fault::{backoff_delay, is_transient_io, FaultFs};
 
-use crate::campaign::{panic_reason, run_shard, summarize, CampaignError, Manifest, Summary};
+use crate::campaign::{caught_panic, publish_summary, run_shard, CampaignError, Manifest, Summary};
 use crate::policy::ExecutionPolicy;
 use crate::shard::Shard;
 use crate::sink::{fnv64, validate_writer_id, LocalStore, RecordStore};
@@ -115,12 +115,6 @@ fn parked_path(lease_dir: &Path, shard: &str) -> PathBuf {
 /// under-count, which only delays parking by a round). Returns the new
 /// count and parks the shard once it reaches [`PARK_AFTER`].
 pub(crate) fn note_shard_failure(lease_dir: &Path, shard: &str, reason: &str) -> u32 {
-    mgrts_obs::global()
-        .counter(
-            "mgrts_worker_panics_total",
-            "Shard executions that panicked and were caught by the worker supervisor",
-        )
-        .inc();
     let path = fails_path(lease_dir, shard);
     let fails = std::fs::read_to_string(&path)
         .ok()
@@ -686,6 +680,8 @@ pub fn run_worker(
     // measurement-domain — differing snapshots across workers never change
     // what the record store dedupes on.
     let policy = manifest.build_policy(&store)?;
+    // Engines are built once per (spec, seed) and shared by every shard.
+    let pool = EnginePool::new();
 
     let board = LeaseBoard::open(store_dir, &opts.id, opts.lease_ttl)?;
     // Presence lease: held for the worker's whole lifetime, not per shard.
@@ -742,8 +738,8 @@ pub fn run_worker(
         for _ in 0..threads {
             scope.spawn(|_| {
                 worker_thread(
-                    &manifest, &*policy, &shards, &store, &board, &writer, &held, &committed,
-                    &failure, opts, cancel,
+                    &manifest, &*policy, &pool, &shards, &store, &board, &writer, &held,
+                    &committed, &failure, opts, cancel,
                 );
                 if active.fetch_sub(1, Ordering::AcqRel) == 1 {
                     stop_heartbeat.store(true, Ordering::Relaxed);
@@ -768,21 +764,8 @@ pub fn run_worker(
             );
         }
     }
-    let done_after = store.done_shards()?;
-    let records = store.load_records()?;
-    let summary = summarize(
-        &manifest,
-        &records,
-        shards.len() as u64,
-        done_after.len() as u64,
-        started.elapsed().as_millis() as u64,
-    );
-    store.put_artifact(
-        &format!("BENCH_{}.json", manifest.name),
-        &serde_json::to_string_pretty(&summary).map_err(std::io::Error::other)?,
-    )?;
     Ok(WorkerOutcome {
-        summary,
+        summary: publish_summary(&manifest, &store, shards.len(), started)?,
         shards_committed,
         parked,
     })
@@ -792,6 +775,7 @@ pub fn run_worker(
 fn worker_thread(
     manifest: &Manifest,
     policy: &dyn ExecutionPolicy,
+    pool: &EnginePool,
     shards: &[Shard],
     store: &LocalStore,
     board: &LeaseBoard,
@@ -886,7 +870,7 @@ fn worker_thread(
         // `PARK_AFTER` strikes; its lease is released immediately below,
         // not after a TTL.
         let result = catch_unwind(AssertUnwindSafe(|| {
-            run_shard(manifest, policy, shard, cancel)
+            run_shard(manifest, policy, pool, shard, cancel)
         }));
         match result {
             Ok(Ok(Some(records))) => {
@@ -914,7 +898,7 @@ fn worker_thread(
                 cancel.cancel_all();
             }
             Err(payload) => {
-                let reason = panic_reason(payload.as_ref());
+                let reason = caught_panic(payload.as_ref());
                 let fails = note_shard_failure(board.lease_dir(), &shard.hash, &reason);
                 if opts.progress {
                     eprintln!(

@@ -69,39 +69,13 @@ pub(crate) fn classify(verdict: &Verdict) -> InstanceOutcome {
     }
 }
 
-/// Run one solver on one instance under an explicit budget and cancellation
-/// token (the campaign executor's entry point). Every produced schedule is
-/// verified against the independent C1–C4 checker; a verification failure
-/// is a bug and panics loudly.
-#[must_use]
-pub fn run_one_budgeted(
-    p: &Problem,
-    solver: SolverSpec,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> (InstanceOutcome, u64) {
-    run_one_engine(p, &*solver.build_seeded(p.seed), budget, cancel)
-}
-
-/// Run a *prebuilt* engine on one instance — the hoisted-construction path
-/// resident callers ([`mgrts_core::engine::EnginePool`] users, the serve
-/// worker pool) take so solver construction stays out of the per-call
-/// path. Semantics are identical to [`run_one_budgeted`], including the
-/// independent C1–C4 verification of every produced schedule.
-#[must_use]
-pub fn run_one_engine(
-    p: &Problem,
-    engine: &dyn FeasibilitySolver,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> (InstanceOutcome, u64) {
-    let (outcome, time_us, _) = run_one_engine_full(p, engine, budget, cancel);
-    (outcome, time_us)
-}
-
-/// [`run_one_engine`] that also returns the backend's per-solve search
-/// telemetry (`None` for backends without counters) — the shape campaign
-/// recording consumes.
+/// Run a *prebuilt* engine on one instance under an explicit budget and
+/// cancellation token, returning the classified outcome, the backend's
+/// wall-clock and its per-solve search telemetry (`None` for backends
+/// without counters). Resident callers ([`mgrts_core::engine::EnginePool`]
+/// users) keep solver construction out of the per-call path this way.
+/// Every produced schedule is verified against the independent C1–C4
+/// checker; a verification failure is a bug and panics loudly.
 #[must_use]
 pub fn run_one_engine_full(
     p: &Problem,
@@ -119,36 +93,10 @@ pub fn run_one_engine_full(
     (classify(&res.verdict), res.stats.elapsed_us, res.search)
 }
 
-/// Run one solver on one instance over a heterogeneous platform (the
-/// campaign grid's heterogeneity dimension). Schedules are verified with
-/// the heterogeneous C1–C4 checker.
-#[must_use]
-pub fn run_one_hetero(
-    p: &Problem,
-    platform: &Platform,
-    solver: SolverSpec,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> (InstanceOutcome, u64) {
-    run_one_hetero_engine(p, platform, &*solver.build_seeded(p.seed), budget, cancel)
-}
-
-/// Heterogeneous analogue of [`run_one_engine`]: a prebuilt engine, the
-/// heterogeneous C1–C4 checker.
-#[must_use]
-pub fn run_one_hetero_engine(
-    p: &Problem,
-    platform: &Platform,
-    engine: &dyn FeasibilitySolver,
-    budget: &Budget,
-    cancel: &CancelToken,
-) -> (InstanceOutcome, u64) {
-    let (outcome, time_us, _) = run_one_hetero_engine_full(p, platform, engine, budget, cancel);
-    (outcome, time_us)
-}
-
-/// [`run_one_hetero_engine`] that also returns the backend's per-solve
-/// search telemetry.
+/// Heterogeneous analogue of [`run_one_engine_full`]: one solver on one
+/// instance over a heterogeneous platform (the campaign grid's
+/// heterogeneity dimension), verified with the heterogeneous C1–C4
+/// checker.
 #[must_use]
 pub fn run_one_hetero_engine_full(
     p: &Problem,
@@ -175,12 +123,13 @@ pub fn run_one_hetero_engine_full(
 /// single-run entry point).
 #[must_use]
 pub fn run_one(p: &Problem, solver: SolverSpec, time_limit: Duration) -> (InstanceOutcome, u64) {
-    run_one_budgeted(
+    let (outcome, time_us, _) = run_one_engine_full(
         p,
-        solver,
+        &*solver.build_seeded(p.seed),
         &Budget::time_limit(time_limit),
         &CancelToken::new(),
-    )
+    );
+    (outcome, time_us)
 }
 
 /// Write raw records as JSON to `path` (the `--json` flag of the
@@ -273,7 +222,12 @@ mod tests {
             seed: 0,
         };
         for solver in ROSTER {
-            let (outcome, _) = run_one(&p, solver, Duration::from_secs(5));
+            let (outcome, _, _) = run_one_engine_full(
+                &p,
+                &*solver.build_seeded(p.seed),
+                &Budget::time_limit(Duration::from_secs(5)),
+                &CancelToken::new(),
+            );
             assert_eq!(outcome, InstanceOutcome::Solved, "{solver:?}");
         }
     }
@@ -296,9 +250,10 @@ mod tests {
         };
         let cancel = CancelToken::new();
         cancel.cancel();
-        let (outcome, _) = run_one_budgeted(
+        let solver = SolverSpec::Csp2(TaskOrder::DeadlineMinusWcet);
+        let (outcome, _, _) = run_one_engine_full(
             &p,
-            SolverSpec::Csp2(TaskOrder::DeadlineMinusWcet),
+            &*solver.build_seeded(p.seed),
             &Budget::unlimited(),
             &cancel,
         );

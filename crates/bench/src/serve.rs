@@ -58,17 +58,18 @@ use std::path::PathBuf;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-use mgrts_core::engine::{Budget, CancelToken, EnginePool, PlatformSpec, SolverSpec};
-use mgrts_obs::{flight, Counter, FlightRecorder, Gauge, Histogram, Registry};
+use mgrts_core::engine::{Budget, CancelToken, EnginePool, SolverSpec};
+use mgrts_obs::{flight, FlightRecorder, Histogram, Registry};
 use rt_gen::Problem;
 use rt_task::TaskSet;
 
-use crate::campaign::panic_reason;
-use crate::policy::{race_roster, BudgetSource, PolicyKind};
+use crate::campaign::caught_panic;
+use crate::policy::{run_unit, BudgetSource, UnitExecution, UnitOrigin, UnitPlan};
 use crate::queue::{list_leases, now_unix_ms, LeaseBoard, LEASE_DIR};
-use crate::runner::{classify, run_one_engine_full, InstanceOutcome};
+use crate::runner::InstanceOutcome;
 use crate::shard::{fnv1a, RunUnit, Shard};
 use crate::sink::{CampaignRecord, LocalStore, RecordStore, ShardWriter};
 
@@ -152,6 +153,16 @@ impl RequestMode {
             RequestMode::Race => "portfolio-race",
         }
     }
+
+    /// What the request runs: its backend, or a race of
+    /// [`SolverSpec::DEFAULT_PORTFOLIO`].
+    #[must_use]
+    pub(crate) fn plan(&self) -> UnitPlan<'static> {
+        match self {
+            RequestMode::Single(spec) => UnitPlan::Single(*spec),
+            RequestMode::Race => UnitPlan::Race(&SolverSpec::DEFAULT_PORTFOLIO),
+        }
+    }
 }
 
 /// One parsed `solve` request.
@@ -176,10 +187,35 @@ impl SolveRequest {
         self.budget_ms.unwrap_or(default_ms)
     }
 
+    /// The instance as the campaign layer's [`Problem`].
+    #[must_use]
+    pub(crate) fn problem(&self) -> Problem {
+        Problem {
+            taskset: self.taskset.clone(),
+            m: self.m,
+            seed: self.seed,
+        }
+    }
+
+    /// Provenance of this request's record: one single-unit shard named
+    /// by the request key's ticket, the key doubling as instance id.
+    #[must_use]
+    pub(crate) fn origin(&self, key: u64) -> UnitOrigin {
+        UnitOrigin {
+            shard: ticket_of(key),
+            cell: 0,
+            instance: key,
+            global_instance: key,
+            n: self.taskset.len(),
+            t_max: self.taskset.max_period(),
+            hetero: false,
+            budget_source: BudgetSource::Manifest,
+        }
+    }
+
     /// Serialize back to the wire shape (the spill artifact format).
     #[must_use]
     pub fn to_value(&self) -> Value {
-        use serde::Serialize;
         let mut fields = vec![
             ("type".to_string(), Value::String("solve".to_string())),
             ("taskset".to_string(), self.taskset.to_value()),
@@ -223,7 +259,6 @@ pub enum Request {
 /// Parse one request line. Errors are protocol errors to send back as
 /// structured `error` responses — never a reason to drop the connection.
 pub fn parse_request(line: &str) -> Result<Request, String> {
-    use serde::Deserialize;
     let v: Value = serde_json::from_str(line).map_err(|e| format!("malformed JSON: {e}"))?;
     let Some(kind) = v["type"].as_str() else {
         return Err("missing request field `type`".to_string());
@@ -290,7 +325,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// and the stored record's instance id.
 #[must_use]
 pub fn request_key(req: &SolveRequest, default_budget_ms: u64) -> u64 {
-    use serde::Serialize;
     let canon = serde_json::to_string(&req.taskset.to_value()).unwrap_or_default();
     let tail = format!(
         "|m={}|mode={}|budget_ms={}|seed={}",
@@ -363,8 +397,21 @@ pub struct CachedResult {
 }
 
 impl CachedResult {
+    /// The cached view of a stored record; `solver` is the race winner,
+    /// else the record's own solver.
+    #[must_use]
+    pub(crate) fn of(record: &CampaignRecord) -> Self {
+        CachedResult {
+            outcome: record.outcome,
+            time_us: record.time_us,
+            solver: record
+                .winner
+                .clone()
+                .unwrap_or_else(|| record.solver.name().to_string()),
+        }
+    }
+
     fn response(&self, key: u64, cache: &str) -> Value {
-        use serde::Serialize;
         obj(vec![
             ("type", s("result")),
             ("ticket", s(ticket_of(key))),
@@ -406,6 +453,63 @@ pub struct ServeCounters {
     pub queue_depth: u64,
     /// Current heavy-queue length (gauge, tracked at push/pop).
     pub heavy_depth: u64,
+    /// Distinct engines in the shared pool (gauge, read at snapshot).
+    pub engines_cached: u64,
+}
+
+/// Counter (a running total) or gauge (a level).
+enum Kind {
+    Counter,
+    Gauge,
+}
+
+/// One row of the serving counter table: (`stats` key, metric family,
+/// `# HELP` text, kind, the value in a snapshot).
+type CounterRow = (&'static str, &'static str, &'static str, Kind, Getter);
+type Getter = fn(&ServeCounters) -> u64;
+
+/// The serving counter table. The `stats` response renders its keys and
+/// the `metrics` exposition its families from these rows, in this order,
+/// so the two surfaces cannot drift apart.
+#[rustfmt::skip]
+const SERVE_COUNTERS: [CounterRow; 13] = [
+    ("requests", "mgrts_serve_requests_total", "Request lines accepted", Kind::Counter, |c| c.requests),
+    ("solves", "mgrts_serve_solves_total", "Actual engine executions", Kind::Counter, |c| c.solves),
+    ("cache_hits", "mgrts_serve_cache_hits_total", "Answers served from the record-store cache", Kind::Counter, |c| c.cache_hits),
+    ("cache_misses", "mgrts_serve_cache_misses_total", "Solves performed for a requester", Kind::Counter, |c| c.cache_misses),
+    ("inflight_hits", "mgrts_serve_inflight_hits_total", "Requests coalesced onto an in-flight solve", Kind::Counter, |c| c.inflight_hits),
+    ("rejected", "mgrts_serve_rejected_total", "Admission-control rejections", Kind::Counter, |c| c.rejected),
+    ("spilled", "mgrts_serve_spilled_total", "Requests spilled to the heavy queue", Kind::Counter, |c| c.spilled),
+    ("polls", "mgrts_serve_polls_total", "Poll requests answered", Kind::Counter, |c| c.polls),
+    ("errors", "mgrts_serve_errors_total", "Malformed or invalid request lines", Kind::Counter, |c| c.errors),
+    ("failed", "mgrts_serve_failed_total", "Jobs settled as failed after exhausting panic retries", Kind::Counter, |c| c.failed),
+    ("queue_depth", "mgrts_serve_queue_depth", "Current small-request queue length", Kind::Gauge, |c| c.queue_depth),
+    ("heavy_depth", "mgrts_serve_heavy_queue_depth", "Current heavy-queue length", Kind::Gauge, |c| c.heavy_depth),
+    ("engines_cached", "mgrts_serve_engines_cached", "Distinct engines in the shared pool", Kind::Gauge, |c| c.engines_cached),
+];
+
+impl ServeCounters {
+    /// The `stats` response for this snapshot.
+    #[must_use]
+    pub fn stats_response(&self) -> Value {
+        let rows = SERVE_COUNTERS.iter();
+        let values = rows.map(|(key, .., get)| (*key, Value::UInt(get(self))));
+        obj([("type", s("stats"))].into_iter().chain(values).collect())
+    }
+
+    /// Prometheus text exposition of this snapshot's counters and gauges
+    /// (the head of the `metrics` body).
+    #[must_use]
+    pub fn exposition(&self) -> String {
+        let registry = Registry::new();
+        for (_, metric, help, kind, get) in &SERVE_COUNTERS {
+            match kind {
+                Kind::Counter => registry.counter(metric, help).set(get(self)),
+                Kind::Gauge => registry.gauge(metric, help).set(get(self)),
+            }
+        }
+        registry.render()
+    }
 }
 
 /// The server's counters behind one mutex, so a `stats` response reports
@@ -430,48 +534,15 @@ impl ServeStats {
     pub fn snapshot(&self) -> ServeCounters {
         *self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
-
-    fn response(&self, engines: usize) -> Value {
-        let c = self.snapshot();
-        obj(vec![
-            ("type", s("stats")),
-            ("requests", Value::UInt(c.requests)),
-            ("solves", Value::UInt(c.solves)),
-            ("cache_hits", Value::UInt(c.cache_hits)),
-            ("cache_misses", Value::UInt(c.cache_misses)),
-            ("inflight_hits", Value::UInt(c.inflight_hits)),
-            ("rejected", Value::UInt(c.rejected)),
-            ("spilled", Value::UInt(c.spilled)),
-            ("polls", Value::UInt(c.polls)),
-            ("errors", Value::UInt(c.errors)),
-            ("failed", Value::UInt(c.failed)),
-            ("queue_depth", Value::UInt(c.queue_depth)),
-            ("heavy_depth", Value::UInt(c.heavy_depth)),
-            ("engines_cached", Value::UInt(engines as u64)),
-        ])
-    }
 }
 
-/// The server's metrics-exposition surface: an [`mgrts_obs::Registry`]
-/// plus pre-registered handles for the hot instruments. Counters and
-/// gauges mirror a [`ServeCounters`] snapshot at scrape time (so the
-/// exposition inherits the snapshot's consistency); the latency
-/// histograms are observed live on the solve path.
+/// The live half of the metrics exposition: the latency histograms,
+/// observed on the request path, plus the per-backend search telemetry
+/// and fault counters registered at scrape time. Counters and gauges are
+/// rendered from a [`ServeCounters`] snapshot instead (see
+/// [`ServeCounters::exposition`]), so they inherit its consistency.
 struct ServeMetrics {
     registry: Registry,
-    requests: Arc<Counter>,
-    solves: Arc<Counter>,
-    cache_hits: Arc<Counter>,
-    cache_misses: Arc<Counter>,
-    inflight_hits: Arc<Counter>,
-    rejected: Arc<Counter>,
-    spilled: Arc<Counter>,
-    polls: Arc<Counter>,
-    errors: Arc<Counter>,
-    failed: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
-    heavy_depth: Arc<Gauge>,
-    engines_cached: Arc<Gauge>,
     solve_duration_us: Arc<Histogram>,
     request_duration_us: Arc<Histogram>,
 }
@@ -479,48 +550,7 @@ struct ServeMetrics {
 impl ServeMetrics {
     fn new() -> Self {
         let registry = Registry::new();
-        let c = |name: &str, help: &str| registry.counter(name, help);
         ServeMetrics {
-            requests: c("mgrts_serve_requests_total", "Request lines accepted"),
-            solves: c("mgrts_serve_solves_total", "Actual engine executions"),
-            cache_hits: c(
-                "mgrts_serve_cache_hits_total",
-                "Answers served from the record-store cache",
-            ),
-            cache_misses: c(
-                "mgrts_serve_cache_misses_total",
-                "Solves performed for a requester",
-            ),
-            inflight_hits: c(
-                "mgrts_serve_inflight_hits_total",
-                "Requests coalesced onto an in-flight solve",
-            ),
-            rejected: c("mgrts_serve_rejected_total", "Admission-control rejections"),
-            spilled: c(
-                "mgrts_serve_spilled_total",
-                "Requests spilled to the heavy queue",
-            ),
-            polls: c("mgrts_serve_polls_total", "Poll requests answered"),
-            errors: c(
-                "mgrts_serve_errors_total",
-                "Malformed or invalid request lines",
-            ),
-            failed: c(
-                "mgrts_serve_failed_total",
-                "Jobs settled as failed after exhausting panic retries",
-            ),
-            queue_depth: registry.gauge(
-                "mgrts_serve_queue_depth",
-                "Current small-request queue length",
-            ),
-            heavy_depth: registry.gauge(
-                "mgrts_serve_heavy_queue_depth",
-                "Current heavy-queue length",
-            ),
-            engines_cached: registry.gauge(
-                "mgrts_serve_engines_cached",
-                "Distinct engines in the shared pool",
-            ),
             solve_duration_us: registry.histogram(
                 "mgrts_serve_solve_duration_us",
                 "Wall-clock of actual engine executions, microseconds",
@@ -533,22 +563,10 @@ impl ServeMetrics {
         }
     }
 
-    /// Mirror a counter snapshot and the pool's per-backend search
-    /// telemetry into the registry, then render the exposition text.
-    fn render(&self, counters: ServeCounters, pool: &EnginePool) -> String {
-        self.requests.set(counters.requests);
-        self.solves.set(counters.solves);
-        self.cache_hits.set(counters.cache_hits);
-        self.cache_misses.set(counters.cache_misses);
-        self.inflight_hits.set(counters.inflight_hits);
-        self.rejected.set(counters.rejected);
-        self.spilled.set(counters.spilled);
-        self.polls.set(counters.polls);
-        self.errors.set(counters.errors);
-        self.failed.set(counters.failed);
-        self.queue_depth.set(counters.queue_depth);
-        self.heavy_depth.set(counters.heavy_depth);
-        self.engines_cached.set(pool.len() as u64);
+    /// Render the exposition text: the counter snapshot, then the
+    /// histograms, the pool's per-backend search telemetry, fault
+    /// injections and the process-wide robustness counters.
+    fn render(&self, counters: &ServeCounters, pool: &EnginePool) -> String {
         for (name, st) in pool.engine_stats() {
             let labels: &[(&str, &str)] = &[("solver", name.as_str())];
             let facets: [(&str, &str, u64); 5] = [
@@ -579,10 +597,11 @@ impl ServeMetrics {
                 )
                 .set(n);
         }
+        let mut body = counters.exposition();
+        body.push_str(&self.registry.render());
         // The process-wide registry carries the robustness counters the
         // store / lease / supervisor layers maintain (quarantined lines,
         // commit retries, fail-overs, caught panics, parked shards).
-        let mut body = self.registry.render();
         body.push_str(&mgrts_obs::global().render());
         body
     }
@@ -631,6 +650,15 @@ impl ServerState {
             .cloned()
     }
 
+    /// Every counter and gauge in one consistent snapshot, plus the
+    /// engine pool's size.
+    fn counters(&self) -> ServeCounters {
+        ServeCounters {
+            engines_cached: self.pool.len() as u64,
+            ..self.stats.snapshot()
+        }
+    }
+
     /// Run the request's engines (the only place solves happen). The
     /// artificial delay precedes the solve so tests can observe the
     /// in-flight window deterministically.
@@ -644,49 +672,12 @@ impl ServerState {
         let sp = flight::span("request.solve", &ticket);
         let budget_ms = req.effective_budget_ms(self.cfg.default_budget_ms);
         let budget = Budget::time_limit(Duration::from_millis(budget_ms));
-        let problem = Problem {
-            taskset: req.taskset.clone(),
-            m: req.m,
-            seed: req.seed,
-        };
-        match &req.mode {
-            RequestMode::Single(spec) => {
-                let engine = self.pool.get(*spec, req.seed);
-                let (outcome, time_us, search) =
-                    run_one_engine_full(&problem, &*engine, &budget, &self.cancel);
-                let record =
-                    self.record_for(key, req, outcome, time_us, *spec, None, None, None, search);
-                let result = self.settle(key, req, record);
-                self.finish_execute(&ticket, req, &result, started, sp);
-                result
-            }
-            RequestMode::Race => {
-                let roster = self.pool.roster(&SolverSpec::DEFAULT_PORTFOLIO, req.seed);
-                let run = race_roster(
-                    &roster,
-                    &req.taskset,
-                    &PlatformSpec::identical(req.m),
-                    &budget,
-                    &self.cancel,
-                )
-                .expect("valid constrained instance");
-                let outcome = classify(&run.verdict);
-                let record = self.record_for(
-                    key,
-                    req,
-                    outcome,
-                    run.elapsed_us,
-                    SolverSpec::DEFAULT_PORTFOLIO[0],
-                    run.winner.clone(),
-                    run.cancel_latency_us,
-                    Some(run.backends),
-                    run.search,
-                );
-                let result = self.settle(key, req, record);
-                self.finish_execute(&ticket, req, &result, started, sp);
-                result
-            }
-        }
+        let problem = req.problem();
+        let plan = req.mode.plan();
+        let exec = run_unit(&self.pool, plan, &problem, None, &budget, &self.cancel);
+        let result = self.settle(key, exec.into_record(plan, req.origin(key), &problem));
+        self.finish_execute(&ticket, req, &result, started, sp);
+        result
     }
 
     /// Post-solve observation: close the request span, feed the latency
@@ -742,61 +733,12 @@ impl ServerState {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn record_for(
-        &self,
-        key: u64,
-        req: &SolveRequest,
-        outcome: InstanceOutcome,
-        time_us: u64,
-        solver: SolverSpec,
-        winner: Option<String>,
-        cancel_latency_us: Option<u64>,
-        backends: Option<Vec<mgrts_core::portfolio::BackendStat>>,
-        search: Option<mgrts_obs::SearchStats>,
-    ) -> CampaignRecord {
-        let (kind, src) = match req.mode {
-            RequestMode::Single(_) => (PolicyKind::Single, BudgetSource::Manifest),
-            RequestMode::Race => (PolicyKind::PortfolioRace, BudgetSource::Manifest),
-        };
-        CampaignRecord {
-            shard: ticket_of(key),
-            cell: 0,
-            instance: key,
-            global_instance: key,
-            solver,
-            outcome,
-            time_us,
-            ratio: req.taskset.utilization_ratio(req.m),
-            filtered: req.taskset.utilization_exceeds(req.m),
-            m: req.m,
-            n: req.taskset.len(),
-            t_max: req.taskset.max_period(),
-            hetero: false,
-            hyperperiod: req.taskset.hyperperiod().unwrap_or(0),
-            seed: req.seed,
-            policy: Some(kind),
-            winner,
-            budget_source: Some(src),
-            cancel_latency_us,
-            backends,
-            search,
-        }
-    }
-
     /// Commit a settled solve to the store (one single-unit shard per
     /// request key) and publish it in the in-memory cache. Cancelled
     /// outcomes (a shutdown mid-solve) are returned to their waiters but
     /// never cached — a restarted server must re-decide them.
-    fn settle(&self, key: u64, req: &SolveRequest, record: CampaignRecord) -> CachedResult {
-        let result = CachedResult {
-            outcome: record.outcome,
-            time_us: record.time_us,
-            solver: record
-                .winner
-                .clone()
-                .unwrap_or_else(|| record.solver.name().to_string()),
-        };
+    fn settle(&self, key: u64, record: CampaignRecord) -> CachedResult {
+        let result = CachedResult::of(&record);
         if record.outcome == InstanceOutcome::Cancelled {
             return result;
         }
@@ -819,30 +761,27 @@ impl ServerState {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .insert(key, result.clone());
-        let _ = req; // provenance lives in the record
         result
     }
 
-    /// [`execute`](Self::execute) under a panic supervisor: a panicking
-    /// engine (injected chaos, a solver bug) is retried up to
-    /// `job_retries` times, then the ticket settles as `failed` — a
+    /// The answer to a dequeued job: from the cache when its key settled
+    /// while queued (a racing flight that re-solved, or a heavy worker),
+    /// else [`execute`](Self::execute) under a panic supervisor — a
+    /// panicking engine (injected chaos, a solver bug) is retried up to
+    /// `job_retries` times, then the ticket settles as `failed`, so a
     /// waiter always gets an answer and a poison job can never wedge its
     /// ticket or take the worker thread down.
-    fn supervised_execute(&self, key: u64, req: &SolveRequest) -> CachedResult {
+    fn resolve(&self, key: u64, req: &SolveRequest) -> CachedResult {
+        if let Some(cached) = self.cached(key) {
+            return cached;
+        }
         let mut strikes = 0u32;
         loop {
             match catch_unwind(AssertUnwindSafe(|| self.execute(key, req))) {
                 Ok(result) => return result,
                 Err(payload) => {
                     strikes += 1;
-                    mgrts_obs::global()
-                        .counter(
-                            "mgrts_worker_panics_total",
-                            "Shard executions that panicked and were caught by the worker \
-                             supervisor",
-                        )
-                        .inc();
-                    let reason = panic_reason(payload.as_ref());
+                    let reason = caught_panic(payload.as_ref());
                     eprintln!(
                         "serve: solve {} panicked (strike {strikes}/{}): {reason}",
                         ticket_of(key),
@@ -866,22 +805,40 @@ impl ServerState {
             self.cfg.job_retries + 1
         );
         self.stats.with(|c| c.failed += 1);
-        let spec = match &req.mode {
-            RequestMode::Single(spec) => *spec,
-            RequestMode::Race => SolverSpec::DEFAULT_PORTFOLIO[0],
+        let failed = UnitExecution {
+            outcome: InstanceOutcome::Failed,
+            time_us: 0,
+            winner: None,
+            cancel_latency_us: None,
+            backends: None,
+            search: None,
         };
-        let record = self.record_for(
-            key,
-            req,
-            InstanceOutcome::Failed,
-            0,
-            spec,
-            None,
-            None,
-            None,
-            None,
-        );
-        self.settle(key, req, record)
+        let record = failed.into_record(req.mode.plan(), req.origin(key), &req.problem());
+        self.settle(key, record)
+    }
+
+    /// Block until `queue` yields a job — publishing the queue's new length
+    /// through `depth` — or the server is cancelled (`None`).
+    fn next_job(
+        &self,
+        queue: &Mutex<VecDeque<(u64, SolveRequest)>>,
+        cv: &Condvar,
+        depth: impl Fn(&mut ServeCounters, u64),
+    ) -> Option<(u64, SolveRequest)> {
+        let mut jobs = queue.lock().unwrap_or_else(|e| e.into_inner());
+        loop {
+            if let Some(job) = jobs.pop_front() {
+                self.stats.with(|c| depth(c, jobs.len() as u64));
+                return Some(job);
+            }
+            if self.cancel.is_cancelled() {
+                return None;
+            }
+            let (guard, _) = cv
+                .wait_timeout(jobs, Duration::from_millis(100))
+                .unwrap_or_else(|e| e.into_inner());
+            jobs = guard;
+        }
     }
 
     /// Resolve a flight: publish the result to every waiter and retire
@@ -1025,7 +982,6 @@ fn handle_poll(state: &ServerState, ticket: &str) -> Value {
         Err(e) => return error_response(&e),
     };
     if let Some(cached) = state.cached(key) {
-        use serde::Serialize;
         // `failed` is terminal, distinct from `done`: the job exhausted
         // its retries and will not settle to a verdict. Pollers must
         // stop waiting, not retry forever.
@@ -1075,7 +1031,7 @@ fn handle_line(state: &ServerState, line: &str) -> (Value, bool) {
     let out = match parse_request(line) {
         Ok(Request::Solve(req)) => (handle_solve(state, req), false),
         Ok(Request::Poll { ticket }) => (handle_poll(state, &ticket), false),
-        Ok(Request::Stats) => (state.stats.response(state.pool.len()), false),
+        Ok(Request::Stats) => (state.counters().stats_response(), false),
         Ok(Request::Metrics) => (handle_metrics(state), false),
         Ok(Request::Shutdown) => (
             obj(vec![("type", s("ok")), ("msg", s("shutting down"))]),
@@ -1097,7 +1053,7 @@ fn handle_line(state: &ServerState, line: &str) -> (Value, bool) {
 /// (one consistent snapshot), queue gauges, latency histograms and
 /// per-backend search telemetry, carried in the response's `body` field.
 fn handle_metrics(state: &ServerState) -> Value {
-    let body = state.metrics.render(state.stats.snapshot(), &state.pool);
+    let body = state.metrics.render(&state.counters(), &state.pool);
     obj(vec![
         ("type", s("metrics")),
         ("content_type", s("text/plain; version=0.0.4")),
@@ -1111,31 +1067,10 @@ fn handle_metrics(state: &ServerState) -> Value {
 
 fn light_worker(state: &Arc<ServerState>, index: usize) {
     let _ring = flight::install(&state.flight, &format!("serve-light-{index}"));
-    loop {
-        let job = {
-            let mut jobs = state.jobs.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    state.stats.with(|c| c.queue_depth = jobs.len() as u64);
-                    break Some(job);
-                }
-                if state.cancel.is_cancelled() {
-                    break None;
-                }
-                let (guard, _) = state
-                    .jobs_cv
-                    .wait_timeout(jobs, Duration::from_millis(100))
-                    .unwrap_or_else(|e| e.into_inner());
-                jobs = guard;
-            }
-        };
-        let Some((key, req)) = job else { break };
-        // The key may have settled while queued (a racing flight that
-        // re-solved, or a heavy worker): serve from cache without a solve.
-        let result = match state.cached(key) {
-            Some(cached) => cached,
-            None => state.supervised_execute(key, &req),
-        };
+    while let Some((key, req)) =
+        state.next_job(&state.jobs, &state.jobs_cv, |c, n| c.queue_depth = n)
+    {
+        let result = state.resolve(key, &req);
         let flight = state
             .inflight
             .lock()
@@ -1164,25 +1099,9 @@ fn heavy_worker(state: &Arc<ServerState>, index: usize) {
             return;
         }
     };
-    loop {
-        let job = {
-            let mut jobs = state.heavy_jobs.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if let Some(job) = jobs.pop_front() {
-                    state.stats.with(|c| c.heavy_depth = jobs.len() as u64);
-                    break Some(job);
-                }
-                if state.cancel.is_cancelled() {
-                    break None;
-                }
-                let (guard, _) = state
-                    .heavy_cv
-                    .wait_timeout(jobs, Duration::from_millis(100))
-                    .unwrap_or_else(|e| e.into_inner());
-                jobs = guard;
-            }
-        };
-        let Some((key, req)) = job else { break };
+    while let Some((key, req)) =
+        state.next_job(&state.heavy_jobs, &state.heavy_cv, |c, n| c.heavy_depth = n)
+    {
         let lease_name = format!("job-{}", ticket_of(key));
         match board.try_claim(&lease_name) {
             Ok(true) => {}
@@ -1192,13 +1111,10 @@ fn heavy_worker(state: &Arc<ServerState>, index: usize) {
                 continue;
             }
         }
-        // The supervisor below catches engine panics, so control always
-        // reaches the release: the `job-<ticket>` lease is dropped
+        // The supervisor in `resolve` catches engine panics, so control
+        // always reaches the release: the `job-<ticket>` lease is dropped
         // immediately, never stranded until its TTL.
-        let result = match state.cached(key) {
-            Some(cached) => cached,
-            None => state.supervised_execute(key, &req),
-        };
+        let result = state.resolve(key, &req);
         let _ = board.release(&lease_name);
         if result.outcome != InstanceOutcome::Cancelled {
             state
@@ -1295,17 +1211,7 @@ impl Server {
         // servable response (`instance` is the request key).
         let mut cache = HashMap::new();
         for r in store.load_records()? {
-            cache.insert(
-                r.instance,
-                CachedResult {
-                    outcome: r.outcome,
-                    time_us: r.time_us,
-                    solver: r
-                        .winner
-                        .clone()
-                        .unwrap_or_else(|| r.solver.name().to_string()),
-                },
-            );
+            cache.insert(r.instance, CachedResult::of(&r));
         }
         let flight_rec = FlightRecorder::new(512);
         flight_rec.install_panic_hook();
@@ -1423,7 +1329,7 @@ impl Server {
     /// surfaces are the `stats` and `metrics` requests).
     #[must_use]
     pub fn stats(&self) -> ServeCounters {
-        self.state.stats.snapshot()
+        self.state.counters()
     }
 
     /// Graceful shutdown: raise the token, join every worker and
@@ -1468,7 +1374,6 @@ mod tests {
     use super::*;
 
     fn running_example_json() -> String {
-        use serde::Serialize;
         serde_json::to_string(&TaskSet::running_example().to_value()).unwrap()
     }
 

@@ -269,6 +269,10 @@ pub trait RecordStore: Send + Sync {
     /// concurrent writers may race, but readers never observe a torn
     /// write.
     fn put_artifact(&self, name: &str, contents: &str) -> std::io::Result<()>;
+
+    /// Read back an artifact published by
+    /// [`put_artifact`](RecordStore::put_artifact); `None` when none was.
+    fn get_artifact(&self, name: &str) -> std::io::Result<Option<String>>;
 }
 
 /// Reject writer ids that would escape the segment naming scheme.
@@ -564,6 +568,14 @@ impl RecordStore for LocalStore {
             .join(format!(".{name}.tmp-{}-{seq}", std::process::id()));
         FaultFs::write("store.artifact", &tmp, contents.as_bytes())?;
         FaultFs::rename("store.artifact", &tmp, &self.dir.join(name))
+    }
+
+    fn get_artifact(&self, name: &str) -> std::io::Result<Option<String>> {
+        match std::fs::read_to_string(self.dir.join(name)) {
+            Ok(text) => Ok(Some(text)),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e),
+        }
     }
 }
 
@@ -970,11 +982,16 @@ mod tests {
     fn put_artifact_is_atomic_rename() {
         let dir = tmp("artifact");
         let store = LocalStore::open(&dir).unwrap();
+        assert_eq!(store.get_artifact("BENCH_x.json").unwrap(), None);
         store.put_artifact("BENCH_x.json", "{}").unwrap();
         store.put_artifact("BENCH_x.json", "{\"a\":1}").unwrap();
         assert_eq!(
             std::fs::read_to_string(dir.join("BENCH_x.json")).unwrap(),
             "{\"a\":1}"
+        );
+        assert_eq!(
+            store.get_artifact("BENCH_x.json").unwrap().as_deref(),
+            Some("{\"a\":1}")
         );
         std::fs::remove_dir_all(&dir).ok();
     }

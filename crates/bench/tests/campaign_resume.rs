@@ -140,3 +140,35 @@ fn report_over_resumed_store_matches_uninterrupted_report() {
     std::fs::remove_dir_all(&a).ok();
     std::fs::remove_dir_all(&b).ok();
 }
+
+#[test]
+fn summary_report_reads_wall_time_back_from_the_store() {
+    use mgrts_bench::campaign::{report, summarize, ReportKind};
+    use mgrts_bench::sink::{LocalStore, RecordStore};
+
+    // A fresh store (manifest only) has no published summary: the wall
+    // time is unknown, not zero.
+    let m = manifest(7, 5);
+    let dir = tmp("wall");
+    let store = LocalStore::open(&dir).unwrap();
+    store.write_manifest(&m.to_toml()).unwrap();
+    let fresh = report(&dir, ReportKind::Summary).unwrap();
+    assert!(fresh.contains(", wall n/a\n"), "{fresh}");
+
+    // Once a run has published `BENCH_<name>.json`, re-reading the store
+    // reports that run's wall time.
+    let published = summarize(&m, &[], 1, 0, 4242);
+    let json = serde_json::to_string_pretty(&published).unwrap();
+    store.put_artifact("BENCH_resume-prop.json", &json).unwrap();
+    let reread = report(&dir, ReportKind::Summary).unwrap();
+    assert!(reread.contains(", wall 4242 ms\n"), "{reread}");
+
+    // A real run round-trips its own measurement.
+    let run = run_fresh(&m, &dir, &opts(None), &CancelGroup::new()).unwrap();
+    let after = report(&dir, ReportKind::Summary).unwrap();
+    assert!(
+        after.contains(&format!(", wall {} ms\n", run.summary.wall_ms)),
+        "{after}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,7 +1,8 @@
 //! End-to-end tests of the resident serve loop over real TCP: in-flight
 //! dedupe (exactly one solve for concurrent identical requests),
 //! malformed-line resilience, admission control, the queue-spill + poll
-//! path, and cache persistence across a server restart.
+//! path, cache persistence across a server restart, and agreement of the
+//! `stats` and `metrics` surfaces.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -9,7 +10,7 @@ use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use mgrts_bench::serve::{ServeConfig, Server};
+use mgrts_bench::serve::{ServeConfig, ServeCounters, Server};
 use serde_json::Value;
 
 /// Serialize the tests in this binary: the fault-injection case installs
@@ -401,4 +402,195 @@ fn heavy_worker_panic_settles_ticket_failed_and_releases_lease() {
     );
     assert_eq!(poll["status"].as_str(), Some("failed"), "{poll:?}");
     server.shutdown();
+}
+
+/// Every `stats` key and the `metrics` family that exposes it.
+const STATS_TO_METRICS: [(&str, &str); 13] = [
+    ("requests", "mgrts_serve_requests_total"),
+    ("solves", "mgrts_serve_solves_total"),
+    ("cache_hits", "mgrts_serve_cache_hits_total"),
+    ("cache_misses", "mgrts_serve_cache_misses_total"),
+    ("inflight_hits", "mgrts_serve_inflight_hits_total"),
+    ("rejected", "mgrts_serve_rejected_total"),
+    ("spilled", "mgrts_serve_spilled_total"),
+    ("polls", "mgrts_serve_polls_total"),
+    ("errors", "mgrts_serve_errors_total"),
+    ("failed", "mgrts_serve_failed_total"),
+    ("queue_depth", "mgrts_serve_queue_depth"),
+    ("heavy_depth", "mgrts_serve_heavy_queue_depth"),
+    ("engines_cached", "mgrts_serve_engines_cached"),
+];
+
+#[test]
+fn stats_and_metrics_agree_on_every_counter() {
+    let _serial = serial();
+    let mut cfg = config("agree");
+    cfg.workers = 1;
+    cfg.queue_cap = 1;
+    cfg.solve_delay_ms = 400; // holds the in-flight and queue windows open
+    let server = Server::start(cfg).unwrap();
+    let addr = server.addr();
+
+    // Two identical requests (a miss and a coalesced joiner), then two
+    // distinct ones contending for the single queue slot while the lone
+    // worker sits in its delay: at least one is rejected as overloaded.
+    let lines = [
+        solve_line(""),
+        solve_line(""),
+        solve_line(",\"seed\":2"),
+        solve_line(",\"seed\":3"),
+    ];
+    let streams: Vec<TcpStream> = lines
+        .iter()
+        .map(|line| {
+            let stream = TcpStream::connect(addr).unwrap();
+            (&stream).write_all(format!("{line}\n").as_bytes()).unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            stream
+        })
+        .collect();
+    let responses: Vec<Value> = streams
+        .iter()
+        .map(|s| {
+            let mut line = String::new();
+            BufReader::new(s).read_line(&mut line).unwrap();
+            serde_json::from_str(&line).unwrap()
+        })
+        .collect();
+    let mut tags: Vec<&str> = responses[..2]
+        .iter()
+        .map(|r| r["cache"].as_str().unwrap_or("none"))
+        .collect();
+    tags.sort_unstable();
+    assert_eq!(tags, ["inflight", "miss"], "{responses:?}");
+    assert!(
+        responses
+            .iter()
+            .any(|r| r["type"].as_str() == Some("overloaded")),
+        "{responses:?}"
+    );
+
+    // A cache hit, a malformed line and a poll of the settled ticket.
+    assert_eq!(
+        exchange(addr, &solve_line(""))["cache"].as_str(),
+        Some("hit")
+    );
+    assert_eq!(exchange(addr, "not json")["type"].as_str(), Some("error"));
+    let ticket = responses[0]["ticket"].as_str().unwrap();
+    let poll = exchange(
+        addr,
+        &format!("{{\"type\":\"poll\",\"ticket\":\"{ticket}\"}}"),
+    );
+    assert_eq!(poll["status"].as_str(), Some("done"), "{poll:?}");
+
+    let stream = TcpStream::connect(addr).unwrap();
+    let stats = exchange_on(&stream, "{\"type\":\"stats\"}");
+    let metrics = exchange_on(&stream, "{\"type\":\"metrics\"}");
+    server.shutdown();
+
+    let body = metrics["body"].as_str().expect("metrics body");
+    let sample = |name: &str| -> u64 {
+        let line = body
+            .lines()
+            .find(|l| l.strip_prefix(name).is_some_and(|v| v.starts_with(' ')))
+            .unwrap_or_else(|| panic!("no `{name}` sample in\n{body}"));
+        line.rsplit_once(' ').unwrap().1.parse().expect(line)
+    };
+    let Value::Object(fields) = &stats else {
+        panic!("stats is not an object: {stats:?}")
+    };
+    assert_eq!(fields.len(), STATS_TO_METRICS.len() + 1, "{stats:?}");
+    for (key, value) in fields.iter().filter(|(k, _)| k != "type") {
+        let (_, metric) = STATS_TO_METRICS
+            .iter()
+            .find(|(k, _)| k == key)
+            .unwrap_or_else(|| panic!("stats key `{key}` has no metrics family"));
+        // The metrics request itself is the one request between the two
+        // snapshots.
+        let expected = value.as_u64().unwrap() + u64::from(key == "requests");
+        assert_eq!(sample(metric), expected, "`{key}` vs `{metric}`");
+    }
+    for key in [
+        "cache_hits",
+        "cache_misses",
+        "inflight_hits",
+        "rejected",
+        "errors",
+        "polls",
+    ] {
+        assert!(
+            stats[key].as_u64().unwrap() >= 1,
+            "{key} not driven: {stats:?}"
+        );
+    }
+}
+
+#[test]
+fn counter_exposition_is_pinned() {
+    let counters = ServeCounters {
+        requests: 13,
+        solves: 12,
+        cache_hits: 11,
+        cache_misses: 10,
+        inflight_hits: 9,
+        rejected: 8,
+        spilled: 7,
+        polls: 6,
+        errors: 5,
+        failed: 4,
+        queue_depth: 3,
+        heavy_depth: 2,
+        engines_cached: 1,
+    };
+    let expected = "\
+# HELP mgrts_serve_requests_total Request lines accepted
+# TYPE mgrts_serve_requests_total counter
+mgrts_serve_requests_total 13
+# HELP mgrts_serve_solves_total Actual engine executions
+# TYPE mgrts_serve_solves_total counter
+mgrts_serve_solves_total 12
+# HELP mgrts_serve_cache_hits_total Answers served from the record-store cache
+# TYPE mgrts_serve_cache_hits_total counter
+mgrts_serve_cache_hits_total 11
+# HELP mgrts_serve_cache_misses_total Solves performed for a requester
+# TYPE mgrts_serve_cache_misses_total counter
+mgrts_serve_cache_misses_total 10
+# HELP mgrts_serve_inflight_hits_total Requests coalesced onto an in-flight solve
+# TYPE mgrts_serve_inflight_hits_total counter
+mgrts_serve_inflight_hits_total 9
+# HELP mgrts_serve_rejected_total Admission-control rejections
+# TYPE mgrts_serve_rejected_total counter
+mgrts_serve_rejected_total 8
+# HELP mgrts_serve_spilled_total Requests spilled to the heavy queue
+# TYPE mgrts_serve_spilled_total counter
+mgrts_serve_spilled_total 7
+# HELP mgrts_serve_polls_total Poll requests answered
+# TYPE mgrts_serve_polls_total counter
+mgrts_serve_polls_total 6
+# HELP mgrts_serve_errors_total Malformed or invalid request lines
+# TYPE mgrts_serve_errors_total counter
+mgrts_serve_errors_total 5
+# HELP mgrts_serve_failed_total Jobs settled as failed after exhausting panic retries
+# TYPE mgrts_serve_failed_total counter
+mgrts_serve_failed_total 4
+# HELP mgrts_serve_queue_depth Current small-request queue length
+# TYPE mgrts_serve_queue_depth gauge
+mgrts_serve_queue_depth 3
+# HELP mgrts_serve_heavy_queue_depth Current heavy-queue length
+# TYPE mgrts_serve_heavy_queue_depth gauge
+mgrts_serve_heavy_queue_depth 2
+# HELP mgrts_serve_engines_cached Distinct engines in the shared pool
+# TYPE mgrts_serve_engines_cached gauge
+mgrts_serve_engines_cached 1
+";
+    assert_eq!(counters.exposition(), expected);
+    // The stats surface renders the same table: same keys, same order.
+    let stats = serde_json::to_string(&counters.stats_response()).unwrap();
+    assert_eq!(
+        stats,
+        "{\"type\":\"stats\",\"requests\":13,\"solves\":12,\"cache_hits\":11,\
+         \"cache_misses\":10,\"inflight_hits\":9,\"rejected\":8,\"spilled\":7,\
+         \"polls\":6,\"errors\":5,\"failed\":4,\"queue_depth\":3,\"heavy_depth\":2,\
+         \"engines_cached\":1}"
+    );
 }

@@ -24,10 +24,12 @@
 //! `bench/baselines/` and asserts the ≥1.5× acceptance floor on both
 //! cells.
 
-use std::time::Instant;
+mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+
+use common::{paired, time_ns, write_baseline};
 
 use csp_engine::reference::RefSolver;
 use csp_engine::{Budget, Constraint, LearnConfig, Model, SolverConfig, ValOrder, VarOrder};
@@ -216,35 +218,6 @@ fn bench_table(c: &mut Criterion) {
     g.finish();
 }
 
-/// Paired interleaved sampling: run both engines back-to-back within each
-/// round and report (median incremental ns, median reference ns, median of
-/// the per-round reference/incremental ratios) — frequency drift hits both
-/// legs of a round equally and cancels out of the ratio.
-fn paired<FI: FnMut() -> u128, FR: FnMut() -> u128>(
-    rounds: usize,
-    mut inc: FI,
-    mut reference: FR,
-) -> (u128, u128, f64) {
-    let samples: Vec<(u128, u128)> = (0..rounds).map(|_| (inc(), reference())).collect();
-    let mut incs: Vec<u128> = samples.iter().map(|&(i, _)| i).collect();
-    let mut refs: Vec<u128> = samples.iter().map(|&(_, r)| r).collect();
-    let mut ratios: Vec<f64> = samples.iter().map(|&(i, r)| r as f64 / i as f64).collect();
-    incs.sort_unstable();
-    refs.sort_unstable();
-    ratios.sort_by(f64::total_cmp);
-    (
-        incs[incs.len() / 2],
-        refs[refs.len() / 2],
-        ratios[ratios.len() / 2],
-    )
-}
-
-fn time_ns<F: FnMut()>(mut f: F) -> u128 {
-    let t = Instant::now();
-    f();
-    t.elapsed().as_nanos()
-}
-
 /// Emit `BENCH_global_constraints.json` alongside the other perf baselines.
 fn emit_summary(c: &mut Criterion) {
     let _ = c;
@@ -305,14 +278,7 @@ fn emit_summary(c: &mut Criterion) {
         tb_ref,
         tb_speedup
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../bench/baselines/BENCH_global_constraints.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}:\n{json}"),
-        Err(e) => eprintln!("could not write {path}: {e}\n{json}"),
-    }
+    write_baseline("BENCH_global_constraints.json", &json);
     assert!(
         ad_speedup >= 1.5,
         "GAC alldiff did not clear the 1.5x floor over forward checking ({ad_speedup:.3}x)"

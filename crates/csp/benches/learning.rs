@@ -26,10 +26,12 @@
 //! keys) into `bench/baselines/` and asserts the ≥1.5× acceptance floor
 //! on both cells.
 
-use std::time::Instant;
+mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+
+use common::{paired, time_ns, write_baseline};
 
 use csp_engine::{Budget, Constraint, LearnConfig, Model, SolverConfig, ValOrder, VarOrder};
 
@@ -118,35 +120,6 @@ fn bench_deep(c: &mut Criterion) {
     bench_cell(c, "php_prefix_deep", &build_deep());
 }
 
-/// Paired interleaved sampling: run both legs back-to-back within each
-/// round and report (median learn-on ns, median learn-off ns, median of
-/// the per-round off/on ratios) — frequency drift hits both legs of a
-/// round equally and cancels out of the ratio.
-fn paired<FI: FnMut() -> u128, FR: FnMut() -> u128>(
-    rounds: usize,
-    mut on: FI,
-    mut off: FR,
-) -> (u128, u128, f64) {
-    let samples: Vec<(u128, u128)> = (0..rounds).map(|_| (on(), off())).collect();
-    let mut ons: Vec<u128> = samples.iter().map(|&(o, _)| o).collect();
-    let mut offs: Vec<u128> = samples.iter().map(|&(_, f)| f).collect();
-    let mut ratios: Vec<f64> = samples.iter().map(|&(o, f)| f as f64 / o as f64).collect();
-    ons.sort_unstable();
-    offs.sort_unstable();
-    ratios.sort_by(f64::total_cmp);
-    (
-        ons[ons.len() / 2],
-        offs[offs.len() / 2],
-        ratios[ratios.len() / 2],
-    )
-}
-
-fn time_ns<F: FnMut()>(mut f: F) -> u128 {
-    let t = Instant::now();
-    f();
-    t.elapsed().as_nanos()
-}
-
 /// Emit `BENCH_learning.json` alongside the other perf baselines.
 fn emit_summary(c: &mut Criterion) {
     let _ = c;
@@ -195,14 +168,7 @@ fn emit_summary(c: &mut Criterion) {
          \"solvers\": [[\"learn_on\", {{\"infeasible\": 2}}], [\"learn_off\", {{\"infeasible\": 2}}]]\n}}\n",
         wall_ms, runs, wide_on, wide_off, wide_speedup, deep_on, deep_off, deep_speedup
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../bench/baselines/BENCH_learning.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}:\n{json}"),
-        Err(e) => eprintln!("could not write {path}: {e}\n{json}"),
-    }
+    write_baseline("BENCH_learning.json", &json);
     assert!(
         wide_speedup >= 1.5,
         "learning did not clear the 1.5x floor on the wide cell ({wide_speedup:.3}x)"

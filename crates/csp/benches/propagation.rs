@@ -25,10 +25,12 @@
 //! `BENCH_propagation.json` summary (median wall times and speedup
 //! factors) into `bench/baselines/` for the perf-trend tooling.
 
-use std::time::Instant;
+mod common;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+
+use common::{paired, time_ns, write_baseline};
 
 use csp_engine::reference::RefSolver;
 use csp_engine::{
@@ -189,37 +191,6 @@ fn bench_root_propagation(c: &mut Criterion) {
     g.finish();
 }
 
-/// Paired interleaved sampling: run both engines back-to-back within each
-/// round and report (median incremental ns, median reference ns, median of
-/// the per-round reference/incremental ratios). On a shared, frequency-
-/// drifting machine the per-round ratio is far more stable than a ratio of
-/// independently-sampled medians — drift hits both legs of a round equally
-/// and cancels, and the median discards preemption outliers.
-fn paired<FI: FnMut() -> u128, FR: FnMut() -> u128>(
-    rounds: usize,
-    mut inc: FI,
-    mut reference: FR,
-) -> (u128, u128, f64) {
-    let samples: Vec<(u128, u128)> = (0..rounds).map(|_| (inc(), reference())).collect();
-    let mut incs: Vec<u128> = samples.iter().map(|&(i, _)| i).collect();
-    let mut refs: Vec<u128> = samples.iter().map(|&(_, r)| r).collect();
-    let mut ratios: Vec<f64> = samples.iter().map(|&(i, r)| r as f64 / i as f64).collect();
-    incs.sort_unstable();
-    refs.sort_unstable();
-    ratios.sort_by(f64::total_cmp);
-    (
-        incs[incs.len() / 2],
-        refs[refs.len() / 2],
-        ratios[ratios.len() / 2],
-    )
-}
-
-fn time_ns<F: FnMut()>(mut f: F) -> u128 {
-    let t = Instant::now();
-    f();
-    t.elapsed().as_nanos()
-}
-
 /// Emit `BENCH_propagation.json` alongside the other perf baselines.
 fn emit_summary(c: &mut Criterion) {
     let _ = c;
@@ -253,14 +224,7 @@ fn emit_summary(c: &mut Criterion) {
         chrono_ref,
         chrono_speedup
     );
-    let path = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../bench/baselines/BENCH_propagation.json"
-    );
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("wrote {path}:\n{json}"),
-        Err(e) => eprintln!("could not write {path}: {e}\n{json}"),
-    }
+    write_baseline("BENCH_propagation.json", &json);
     assert!(
         speedup >= 1.2,
         "incremental engine did not beat the stateless reference under dom/wdeg ({speedup:.3}x)"
